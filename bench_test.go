@@ -455,6 +455,7 @@ func BenchmarkLockStriping(b *testing.B) {
 						return
 					}
 					m.CommitTransfer(e)
+					m.Retire(e)
 					i++
 				}
 			})
@@ -474,6 +475,7 @@ func BenchmarkLockManager(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.CommitTransfer(e)
+		m.Retire(e)
 	}
 }
 

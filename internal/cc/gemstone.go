@@ -110,5 +110,8 @@ func (s *Gemstone) Abort(e *engine.Exec) {
 	}
 }
 
+// Retire implements engine.Retirer (see N2PL.Retire).
+func (s *Gemstone) Retire(top core.ExecID) { s.mgr.Retire(top) }
+
 // RequiresDependencyTracking: locks prevent dirty access.
 func (s *Gemstone) RequiresDependencyTracking() bool { return false }

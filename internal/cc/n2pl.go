@@ -127,6 +127,11 @@ func (s *N2PL) Abort(e *engine.Exec) {
 	s.mgr.ReleaseAll(e.ID())
 }
 
+// Retire implements engine.Retirer: the finished top-level attempt's
+// rule-3 markers are dropped (no execution of its tree can request a
+// lock again).
+func (s *N2PL) Retire(top core.ExecID) { s.mgr.Retire(top) }
+
 // RequiresDependencyTracking reports whether the engine must track
 // commit dependencies for this scheduler. Lock-based schedulers prevent
 // access to uncommitted effects, so: no.

@@ -106,8 +106,6 @@ type Engine struct {
 	viewFallbacks  atomic.Int64
 	serialRestarts atomic.Int64
 	twopcRestarts  atomic.Int64
-	epochCommits   atomic.Int64
-	epochFlushes   atomic.Int64
 }
 
 // New creates an engine running the given scheduler.
@@ -169,6 +167,13 @@ func historyAbort(id core.ExecID, err error) error {
 func (en *Engine) allocTop() core.ExecID { return en.tops.Alloc() }
 
 func (en *Engine) releaseTop(id core.ExecID) { en.tops.Release(id) }
+
+// endTop ends a scheduled top-level attempt on this engine: the
+// scheduler retires the tree, then the identity is released.
+func (en *Engine) endTop(id core.ExecID) {
+	retire(en.sched, id)
+	en.releaseTop(id)
+}
 
 // TopCount returns the number of top-level transaction identities assigned
 // so far (space-wide under Options.Shared).
@@ -253,14 +258,6 @@ func (en *Engine) SerialRestarts() int64 { return en.serialRestarts.Load() }
 // TwoPCRestarts returns the number of cross-shard attempts that
 // restarted 2PC after discovering new shards mid-flight.
 func (en *Engine) TwoPCRestarts() int64 { return en.twopcRestarts.Load() }
-
-// EpochCommits returns the number of transactions committed through the
-// epoch group-commit path — a subset of Commits.
-func (en *Engine) EpochCommits() int64 { return en.epochCommits.Load() }
-
-// EpochFlushes returns the number of epoch batches flushed by this
-// engine's accumulators (counted on the base engine).
-func (en *Engine) EpochFlushes() int64 { return en.epochFlushes.Load() }
 
 // Tracer returns the engine's flight recorder (nil when tracing is
 // off).
@@ -378,7 +375,7 @@ func (en *Engine) runOnce(ctx context.Context, name string, fn MethodFunc, args 
 	released := false
 	defer func() {
 		if !released {
-			en.releaseTop(id)
+			en.endTop(id)
 		}
 	}()
 	tr := en.tr
@@ -455,7 +452,7 @@ func (en *Engine) runOnce(ctx context.Context, name string, fn MethodFunc, args 
 	en.commits.Add(1)
 	en.deps.forget(e)
 	forgotten = true
-	en.releaseTop(id)
+	en.endTop(id)
 	released = true
 	sp.End()
 	return ret, nil

@@ -47,6 +47,22 @@ type Scheduler interface {
 	Abort(e *Exec)
 }
 
+// Retirer is implemented by schedulers that keep per-execution state
+// past an execution's finish (the lock manager's rule-3 markers). The
+// engine calls Retire once a top-level attempt has returned — its body
+// and every Parallel lane joined — so no execution of the tree can
+// reach the scheduler again.
+type Retirer interface {
+	Retire(top core.ExecID)
+}
+
+// retire hands a finished top-level attempt to sch if it is a Retirer.
+func retire(sch Scheduler, top core.ExecID) {
+	if r, ok := sch.(Retirer); ok {
+		r.Retire(top)
+	}
+}
+
 // None is the empty scheduler: no synchronisation at all beyond step
 // atomicity. Concurrent transactions freely interleave; the oracle then
 // detects the resulting non-serialisable histories. Experiments use it to

@@ -64,20 +64,12 @@ func serialChildGet(home *Engine, parent *Exec, id core.ExecID, object, method s
 	return c
 }
 
-// serialExecGet returns a reset shardedExec in serial mode.
+// serialExecGet returns a shardedExec re-armed for one serial-mode
+// attempt. The reset is explicit, field by field: the structs embed
+// mutexes and atomics, so a wholesale overwrite is not an option, and
+// every field the serial path can have touched must be listed here.
 func serialExecGet(r Router) *shardedExec {
 	st := serialExecPool.Get().(*shardedExec)
-	serialExecReset(st, r)
-	return st
-}
-
-// serialExecReset re-arms a shardedExec for one serial-mode attempt (an
-// epoch flusher re-arms the same state between batch members instead of
-// round-tripping the pool). The reset is explicit, field by field: the
-// structs embed mutexes and atomics, so a wholesale overwrite is not an
-// option, and every field the serial path can have touched must be
-// listed here.
-func serialExecReset(st *shardedExec, r Router) {
 	e, cs := &st.e, &st.cs
 	e.args = nil
 	e.parent = nil
@@ -103,22 +95,21 @@ func serialExecReset(st *shardedExec, r Router) {
 	cs.counted = nil
 	cs.pinned = nil
 	cs.snapSeq = 0
+	return st
 }
 
 // runSerialOnce is one attempt of a declared-set transaction: exclusive
 // gates around direct execution, with the degenerate shard-ordered
 // two-phase commit (validation cannot fail; publication and gate release
-// walk the shards in reverse order).
-func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, gate []int) (core.Value, error) {
+// walk the shards in reverse order). It takes over the admit span opened
+// by runShardedRetry.
+func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, gate []int, sp obs.Span) (core.Value, error) {
 	id := en.allocTop()
 	defer en.releaseTop(id)
-	tr := en.tr
-	sp := tr.StartSpan(obs.PhaseAdmit, ringKey(id), "", "")
-	if tr != nil {
-		// The exec key is formatted inside the admit span, not before it:
-		// the cost is real work of this attempt and must not fall into an
-		// unmeasured gap (the phases partition the attempt's wall time).
-		sp = sp.WithExec(id.Key())
+	if en.tr != nil {
+		// Labelled inside the admit span: formatting the key is real work
+		// of this attempt (the phases partition its wall time).
+		sp = sp.WithExecRing(id.Key(), ringKey(id))
 	}
 	st := serialExecGet(r)
 	defer serialExecPool.Put(st) // after releaseGates (LIFO)
@@ -144,7 +135,10 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 	}
 	ordGates(gate)
 	cs.gated = gate
-	defer cs.releaseGates() // after publication (LIFO)
+	// The outcome paths release the gates inside their final span: a
+	// contended gate's unlock can hand the processor to the waiter, and
+	// that time is this attempt's. The deferred release covers the rest.
+	defer cs.releaseGates()
 	// Record the top-level execution eagerly in the base engine, exactly
 	// like an unsharded run records every top in its engine: a
 	// transaction that commits without touching any object must still
@@ -176,6 +170,7 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 			// everything else counts as an aborted attempt.
 			counted.aborts.Add(1)
 		}
+		cs.releaseGates()
 		sp.EndWith("abort")
 		return nil, err
 	}
@@ -184,6 +179,7 @@ func (en *Engine) runSerialOnce(ctx context.Context, r Router, name string, fn M
 		publishCommitSharded(e)
 	}
 	counted.commits.Add(1)
+	cs.releaseGates()
 	sp.End()
 	return ret, nil
 }

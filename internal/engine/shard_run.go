@@ -455,6 +455,14 @@ func (cs *crossState) joinedSnapshot() []joinedShard {
 	return joined
 }
 
+// retireScheds retires the attempt's execution tree in every scheduler
+// it joined (see Retirer).
+func (cs *crossState) retireScheds(top core.ExecID) {
+	for _, sch := range cs.scheds {
+		retire(sch, top)
+	}
+}
+
 // forEachSched visits the distinct scheduler instances of the joined
 // shards in ascending shard order — the 2PC phase order — without
 // allocating (duplicates are skipped by rescanning the prefix, which is
@@ -576,17 +584,12 @@ func pregateFor(r Router, touches []string) []int {
 
 func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, touches []string, readOnly bool) (core.Value, error) {
 	base := r.Base()
-	pregate := pregateFor(r, touches)
-	// A declared object set runs serially under exclusive gates — batched
-	// through the epoch accumulators when the space runs them — while an
+	var pregate []int
+	// A declared object set runs serially under exclusive gates, while an
 	// undeclared transaction runs scheduled, and keeps the scheduled path
 	// across its discovery restarts (the learned set is then pre-gated
 	// around the per-shard schedulers' two-phase commit).
-	serial := len(pregate) > 0
-	er, epochs := r.(EpochRouter)
-	if epochs {
-		epochs = er.EpochsEnabled()
-	}
+	serial, resolved := false, false
 	backoff := base.opts.RetryBackoff
 	restarts := 0
 	var scratch *restartScratch
@@ -596,18 +599,24 @@ func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, 
 		}
 	}()
 	for attempt := 0; ; attempt++ {
+		// The admit span opens before anything else the attempt does, as
+		// in runRetry; the first attempt resolves the declaration inside
+		// it, so that cost lands in a measured phase too.
+		sp := base.tr.StartSpan(obs.PhaseAdmit, 0, "", "")
 		if err := ctx.Err(); err != nil {
+			sp.EndWith("cancel")
 			return nil, err
+		}
+		if !resolved {
+			pregate, resolved = pregateFor(r, touches), true
+			serial = len(pregate) > 0
 		}
 		var ret core.Value
 		var err error
-		switch {
-		case serial && epochs:
-			ret, err = runEpochOnce(ctx, er, name, fn, args, readOnly, pregate)
-		case serial:
-			ret, err = base.runSerialOnce(ctx, r, name, fn, args, readOnly, pregate)
-		default:
-			ret, err = base.runShardedOnce(ctx, r, name, fn, args, readOnly, pregate)
+		if serial {
+			ret, err = base.runSerialOnce(ctx, r, name, fn, args, readOnly, pregate, sp)
+		} else {
+			ret, err = base.runShardedOnce(ctx, r, name, fn, args, readOnly, pregate, sp)
 		}
 		if err == nil {
 			return ret, nil
@@ -639,7 +648,7 @@ func runShardedRetry(ctx context.Context, r Router, name string, fn MethodFunc, 
 		if !Retriable(err) || attempt >= base.opts.MaxRetries {
 			return nil, err
 		}
-		sp := base.tr.StartSpan(obs.PhaseRetryBackoff, base.backoffRing(), "", "")
+		sp = base.tr.StartSpan(obs.PhaseRetryBackoff, base.backoffRing(), "", "")
 		t := time.NewTimer(base.backoffDelay(backoff))
 		select {
 		case <-t.C:
@@ -691,19 +700,18 @@ func mergeShardSetsInto(dst, a, b []int) []int {
 
 // runShardedOnce is one attempt of a sharded transaction: the analogue of
 // runOnce with lazy shard joining and the shard-ordered two-phase commit.
-func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, pregate []int) (core.Value, error) {
+// It takes over the admit span opened by runShardedRetry.
+func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn MethodFunc, args []core.Value, readOnly bool, pregate []int, sp obs.Span) (core.Value, error) {
 	id := en.allocTop()
 	defer en.releaseTop(id)
-	tr := en.tr
-	sp := tr.StartSpan(obs.PhaseAdmit, ringKey(id), "", "")
-	if tr != nil {
-		// The exec key is formatted inside the admit span, not before it:
-		// the cost is real work of this attempt and must not fall into an
-		// unmeasured gap (the phases partition the attempt's wall time).
-		sp = sp.WithExec(id.Key())
+	if en.tr != nil {
+		// Labelled inside the admit span: formatting the key is real work
+		// of this attempt (the phases partition its wall time).
+		sp = sp.WithExecRing(id.Key(), ringKey(id))
 	}
 	st := newShardedExec(r, false)
 	e, cs := &st.e, &st.cs
+	defer cs.retireScheds(id) // once the body and its lanes returned
 	e.id = id
 	e.object = core.EnvironmentObject
 	e.method = name
@@ -729,7 +737,7 @@ func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn 
 		ordGates(pregate)
 		cs.gated = append([]int(nil), pregate...)
 	}
-	defer cs.releaseGates() // after locks are released below (LIFO)
+	defer cs.releaseGates() // the outcome paths release first, after the locks
 	// Record the top eagerly in the base engine (as an unsharded run
 	// would in its engine): even a transaction that never joins a shard
 	// must appear in the stitched history.
@@ -798,6 +806,7 @@ func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn 
 			// everything else counts as an aborted attempt.
 			cs.countEngine(en).aborts.Add(1)
 		}
+		cs.releaseGates() // inside the span, as on the serial path
 		sp.EndWith("abort")
 		return nil, err
 	}
@@ -807,6 +816,7 @@ func (en *Engine) runShardedOnce(ctx context.Context, r Router, name string, fn 
 		publishCommitSharded(e)
 	}
 	cs.countEngine(en).commits.Add(1)
+	cs.releaseGates()
 	sp.End()
 	return ret, nil
 }
@@ -963,7 +973,7 @@ func publishCommitSharded(e *Exec) {
 	}
 	topKey := e.id.Key()
 	for en, list := range byEng {
-		en.publishObjects(topKey, list, nil)
+		en.publishObjects(topKey, list)
 	}
 }
 

@@ -41,14 +41,15 @@ func Build(h *core.History, opts BuildOptions) *SG {
 	// Type (a): conflicting local steps.
 	for _, obj := range h.ObjectNames() {
 		steps := h.Steps[obj]
+		ok := includedSteps(steps, include)
 		for i := 0; i < len(steps); i++ {
 			si := steps[i]
-			if !include(si.Exec) {
+			if !ok[i] {
 				continue
 			}
 			for j := i + 1; j < len(steps); j++ {
 				sj := steps[j]
-				if !include(sj.Exec) {
+				if !ok[j] {
 					continue
 				}
 				if si.Exec.Comparable(sj.Exec) {
@@ -64,13 +65,17 @@ func Build(h *core.History, opts BuildOptions) *SG {
 
 	// Type (b): programme-ordered sibling messages at the lca.
 	execs := h.AllExecs()
+	ok := make([]bool, len(execs))
+	for i, e := range execs {
+		ok[i] = include(e.ID)
+	}
 	for i := 0; i < len(execs); i++ {
 		for j := 0; j < len(execs); j++ {
-			if i == j {
+			if i == j || !ok[i] || !ok[j] {
 				continue
 			}
 			e, e2 := execs[i].ID, execs[j].ID
-			if !include(e) || !include(e2) || e.Comparable(e2) {
+			if e.Comparable(e2) {
 				continue
 			}
 			lca, ok := core.LCA(e, e2)
@@ -88,6 +93,17 @@ func Build(h *core.History, opts BuildOptions) *SG {
 		}
 	}
 	return g
+}
+
+// includedSteps evaluates include once per step, so the quadratic pair
+// loops over steps do no per-pair lookups (History.Aborted formats the
+// execution's key on every call).
+func includedSteps(steps []*core.Step, include func(core.ExecID) bool) []bool {
+	ok := make([]bool, len(steps))
+	for i, s := range steps {
+		ok[i] = include(s.Exec)
+	}
+	return ok
 }
 
 // addAncestorEdges adds e -> e' (type a) for every incomparable ancestor

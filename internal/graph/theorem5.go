@@ -21,14 +21,15 @@ func LocalGraph(h *core.History, object string, includeAborted bool) *SG {
 		}
 	}
 	steps := h.Steps[object]
+	ok := includedSteps(steps, include)
 	for i := 0; i < len(steps); i++ {
 		si := steps[i]
-		if !include(si.Exec) {
+		if !ok[i] {
 			continue
 		}
 		for j := i + 1; j < len(steps); j++ {
 			sj := steps[j]
-			if !include(sj.Exec) {
+			if !ok[j] {
 				continue
 			}
 			if si.Exec.Comparable(sj.Exec) {
@@ -94,17 +95,18 @@ func SiblingOrder(h *core.History, e core.ExecID, includeAborted bool) *SG {
 	g := NewSG()
 	include := func(id core.ExecID) bool { return includeAborted || !h.Aborted(id) }
 	msgs := h.Messages[e.Key()]
-	for _, m := range msgs {
-		if include(m.Child) {
+	ok := make([]bool, len(msgs))
+	for i, m := range msgs {
+		if ok[i] = include(m.Child); ok[i] {
 			g.AddNode(m.Child)
 		}
 	}
 	for i, m1 := range msgs {
-		if !include(m1.Child) {
+		if !ok[i] {
 			continue
 		}
 		for j, m2 := range msgs {
-			if i == j || !include(m2.Child) {
+			if i == j || !ok[j] {
 				continue
 			}
 			if core.ProgramOrdered(m1.End, m2.Start) {
@@ -124,14 +126,15 @@ func SiblingOrder(h *core.History, e core.ExecID, includeAborted bool) *SG {
 func conflictingDescendants(h *core.History, u, u2 core.ExecID, include func(core.ExecID) bool) bool {
 	for _, obj := range h.ObjectNames() {
 		steps := h.Steps[obj]
+		ok := includedSteps(steps, include)
 		for i := 0; i < len(steps); i++ {
 			si := steps[i]
-			if !include(si.Exec) || !u.IsAncestorOf(si.Exec) {
+			if !ok[i] || !u.IsAncestorOf(si.Exec) {
 				continue
 			}
 			for j := i + 1; j < len(steps); j++ {
 				sj := steps[j]
-				if !include(sj.Exec) || !u2.IsAncestorOf(sj.Exec) {
+				if !ok[j] || !u2.IsAncestorOf(sj.Exec) {
 					continue
 				}
 				if h.Conflicts(si, sj) {

@@ -46,7 +46,9 @@
 // requests against different scopes proceed without serialising on one
 // manager-wide lock. Per-execution bookkeeping — the finished set
 // (rule 3) and the owner→shards index that commit/abort consult — is
-// striped the same way, hashed by execution key. Only the waits-for
+// striped the same way, hashed by top-level transaction number, so a
+// whole execution tree lives in one owner shard and Retire can drop its
+// finished markers in one visit. Only the waits-for
 // graph cannot be striped: deadlock detection needs a consistent global
 // view, so it lives behind one small dedicated registry lock that is
 // touched exclusively on the blocking paths (register a wait, detect a
@@ -156,15 +158,47 @@ type stripe struct {
 }
 
 // ownerShard is one slice of the per-execution bookkeeping, hashed by
-// execution key: the finished markers (rule 3), the owner→shards index
-// that lets commit/abort touch only the shards an execution actually
-// locked, and the waited flags that let the common no-contention paths
-// skip the global waits registry.
+// top-level transaction number: the finished markers (rule 3) with
+// their per-tree index (trees, so Retire finds a tree's markers without
+// a scan of finished), the owner→shards index that lets commit/abort
+// touch only the shards an execution actually locked, and the waited
+// flags that let the common no-contention paths skip the global waits
+// registry.
 type ownerShard struct {
 	mu       sync.Mutex
 	finished map[string]bool
-	byOwner  map[string]map[string]bool
-	waited   map[string]bool
+	// trees holds only the trees not yet retired — a handful per shard
+	// (the in-flight transactions hashing here) — so it is searched
+	// linearly, and retired entries keep their key arrays for reuse.
+	trees   []treeMarks
+	byOwner map[string]map[string]bool
+	waited  map[string]bool
+}
+
+// treeMarks lists the finished executions of one execution tree.
+type treeMarks struct {
+	top  int32
+	keys []string
+}
+
+// treeLocked returns top's entry in o.trees, adding one (on a retired
+// entry's key array when there is one) if absent. Caller holds o.mu.
+func (o *ownerShard) treeLocked(top int32) *treeMarks {
+	for i := range o.trees {
+		if o.trees[i].top == top {
+			return &o.trees[i]
+		}
+	}
+	n := len(o.trees)
+	if n < cap(o.trees) {
+		o.trees = o.trees[:n+1]
+	} else {
+		o.trees = append(o.trees, treeMarks{})
+	}
+	t := &o.trees[n]
+	t.top = top
+	t.keys = t.keys[:0]
+	return t
 }
 
 // waitRegistry is the manager's only global state: the waits-for graph
@@ -241,9 +275,11 @@ func (m *Manager) stripeFor(shardName string) *stripe {
 	return &m.stripes[fnv32(shardName)&(numStripes-1)]
 }
 
-// ownerFor maps an execution key onto its bookkeeping shard.
-func (m *Manager) ownerFor(execKey string) *ownerShard {
-	return &m.owners[fnv32(execKey)&(numStripes-1)]
+// ownerFor maps an execution onto its bookkeeping shard: the shard of
+// its top-level transaction number (numbers are assigned sequentially,
+// so consecutive transactions land on consecutive shards).
+func (m *Manager) ownerFor(e core.ExecID) *ownerShard {
+	return &m.owners[uint32(e[0])&(numStripes-1)]
 }
 
 // indexOwnerLocked records that owner holds a lock in shardName; caller
@@ -342,7 +378,7 @@ func (m *Manager) TryAcquire(e core.ExecID, object string, rel core.ConflictRela
 	key := shardName(object, rel, req)
 	ek := e.Key()
 	st := m.stripeFor(key)
-	os := m.ownerFor(ek)
+	os := m.ownerFor(e)
 	ordAcquire(ordRankStripe, "stripe")
 	st.mu.Lock()
 	ordAcquire(ordRankOwner, "owner shard")
@@ -656,13 +692,18 @@ func (m *Manager) wouldDeadlockLocked(e core.ExecID) bool {
 }
 
 // finish marks e finished (rule 3), drops its waits-for entry, and
-// returns the shards it owned, consuming the owner index.
+// returns the shards it owned, consuming the owner index. The marker
+// stays until Retire drops e's whole tree.
 func (m *Manager) finish(e core.ExecID) map[string]bool {
 	ek := e.Key()
-	os := m.ownerFor(ek)
+	os := m.ownerFor(e)
 	ordAcquire(ordRankOwner, "owner shard")
 	os.mu.Lock()
-	os.finished[ek] = true
+	if !os.finished[ek] {
+		os.finished[ek] = true
+		t := os.treeLocked(e[0])
+		t.keys = append(t.keys, ek)
+	}
 	names := os.byOwner[ek]
 	delete(os.byOwner, ek)
 	waited := os.waited[ek]
@@ -714,7 +755,7 @@ func (m *Manager) CommitTransfer(e core.ExecID) {
 		}
 		sh.held = out
 		if inherited {
-			po := m.ownerFor(parent.Key())
+			po := m.ownerFor(parent)
 			ordAcquire(ordRankOwner, "owner shard")
 			po.mu.Lock()
 			po.indexOwnerLocked(parent, name)
@@ -760,9 +801,39 @@ func (m *Manager) ReleaseAll(e core.ExecID) {
 	}
 }
 
+// Retire drops the finished markers (rule 3) of top's whole execution
+// tree. Call it once no execution of the tree can request a lock again:
+// the engine does when the top-level attempt has returned, its body and
+// every Parallel lane joined. Until then the markers stay, so a lane
+// whose execution already finished (its WaitTimeout abort landed on
+// another lane) is still refused rather than granted a lock nothing
+// would release. Retries run under fresh top-level numbers, so a
+// retired tree is never seen again.
+func (m *Manager) Retire(top core.ExecID) {
+	os := m.ownerFor(top)
+	ordAcquire(ordRankOwner, "owner shard")
+	os.mu.Lock()
+	for i := range os.trees {
+		t := &os.trees[i]
+		if t.top != top[0] {
+			continue
+		}
+		for _, k := range t.keys {
+			delete(os.finished, k)
+		}
+		clear(t.keys)
+		last := len(os.trees) - 1
+		os.trees[i], os.trees[last] = os.trees[last], os.trees[i]
+		os.trees = os.trees[:last]
+		break
+	}
+	ordRelease(ordRankOwner, "owner shard")
+	os.mu.Unlock()
+}
+
 // Forget clears the finished marker (tests).
 func (m *Manager) Forget(e core.ExecID) {
-	os := m.ownerFor(e.Key())
+	os := m.ownerFor(e)
 	ordAcquire(ordRankOwner, "owner shard")
 	os.mu.Lock()
 	delete(os.finished, e.Key())

@@ -39,8 +39,6 @@ var statsMetricName = map[string]string{
 	"ViewFallbacks":  "view_fallbacks",
 	"SerialRestarts": "serial_restarts",
 	"TwoPCRestarts":  "twopc_restarts",
-	"EpochCommits":   "epoch_commits",
-	"EpochFlushes":   "epoch_flushes",
 }
 
 // TestMetricsStatsParity hammers a sharded, tracing DB with declared,
@@ -77,6 +75,7 @@ func TestMetricsStatsParity(t *testing.T) {
 					}
 					return x.Do(b, "Add", int64(1))
 				}
+				var err error // per goroutine: the outer err is shared
 				switch i % 3 {
 				case 0:
 					// Fully declared: the serial fast path.
@@ -140,7 +139,10 @@ func TestMetricsStatsParity(t *testing.T) {
 // TestTraceReconciliation drives the traced hotspot-counter × n2pl-op
 // cell and checks the flight recorder's core invariant: the exclusive
 // phases partition each attempt's wall time, so their summed totals must
-// reconcile with the driver's latency histogram within 5%.
+// reconcile with the driver's latency histogram within 5%. It runs
+// unsharded (the scheduled path) and at 4 shards, where the scenario's
+// declared object sets take the serial fast path and contended gates
+// record nested gate-wait spans inside admit.
 //
 // The measurement is retried up to three times: on a loaded (or
 // single-core) machine one scheduler preemption landing in the few
@@ -153,101 +155,60 @@ func TestTraceReconciliation(t *testing.T) {
 	if !ok {
 		t.Fatal("hotspot-counter scenario not registered")
 	}
-	var fracs []float64
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err := load.Run(context.Background(), load.Options{
-			Scenario:  sc,
-			Scheduler: "n2pl-op",
-			Trace:     true,
-			Knobs:     load.Knobs{Clients: 16, Txns: 300, Seed: int64(11 + attempt)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			// Failed transactions appear in the phase totals but not in the
-			// latency histogram, which would skew the reconciliation.
-			t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
-		}
-		if !res.Trace || len(res.Phases) == 0 {
-			t.Fatalf("traced run carried no phases block: %+v", res.Phases)
-		}
-		if len(res.Spans) == 0 {
-			t.Fatal("traced run drained no spans")
-		}
-		if res.Phases["admit"].Count != res.Ops {
-			t.Fatalf("admit count %d, want one per transaction (%d)", res.Phases["admit"].Count, res.Ops)
-		}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var fracs []float64
+			for attempt := 0; attempt < 3; attempt++ {
+				res, err := load.Run(context.Background(), load.Options{
+					Scenario:  sc,
+					Scheduler: "n2pl-op",
+					Trace:     true,
+					Knobs:     load.Knobs{Clients: 16, Txns: 300, Seed: int64(11 + attempt), Shards: shards},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Errors != 0 {
+					// Failed transactions appear in the phase totals but not in
+					// the latency histogram, which would skew the reconciliation.
+					t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
+				}
+				if !res.Trace || len(res.Phases) == 0 {
+					t.Fatalf("traced run carried no phases block: %+v", res.Phases)
+				}
+				if len(res.Spans) == 0 {
+					t.Fatal("traced run drained no spans")
+				}
+				if res.Phases["admit"].Count != res.Ops {
+					t.Fatalf("admit count %d, want one per transaction (%d)", res.Phases["admit"].Count, res.Ops)
+				}
+				if shards > 1 && res.Phases["lock-wait"].Count != 0 {
+					t.Fatalf("%d lock-wait spans at %d shards, want none (declared sets take the serial fast path, which bypasses the lock manager)",
+						res.Phases["lock-wait"].Count, shards)
+				}
 
-		var phaseSum int64
-		for _, name := range []string{"admit", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
-			phaseSum += res.Phases[name].TotalNS
-		}
-		latSum := res.Latency.Mean * (res.Ops - res.Errors)
-		if latSum <= 0 {
-			t.Fatalf("degenerate latency sum %d", latSum)
-		}
-		diff := phaseSum - latSum
-		if diff < 0 {
-			diff = -diff
-		}
-		frac := float64(diff) / float64(latSum)
-		if frac <= 0.05 {
-			return
-		}
-		fracs = append(fracs, frac)
-	}
-	t.Errorf("exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
-		fracs[0]*100, fracs[1]*100, fracs[2]*100)
-}
-
-// TestTraceReconciliationEpochs re-checks the partition invariant with
-// epoch group commit enabled: a batched attempt's wall time is exactly
-// admit + epoch-wait (the flusher's epoch-flush spans overlap the
-// members' waits and are deliberately non-exclusive), so the exclusive
-// sums must still reconcile with the latency histogram within 5%.
-func TestTraceReconciliationEpochs(t *testing.T) {
-	sc, ok := load.Get("hotspot-counter")
-	if !ok {
-		t.Fatal("hotspot-counter scenario not registered")
-	}
-	var fracs []float64
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err := load.Run(context.Background(), load.Options{
-			Scenario:  sc,
-			Scheduler: "n2pl-op",
-			Trace:     true,
-			Knobs:     load.Knobs{Clients: 16, Txns: 300, Seed: int64(23 + attempt), Epoch: "100us:16"},
+				var phaseSum int64
+				for _, name := range []string{"admit", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
+					phaseSum += res.Phases[name].TotalNS
+				}
+				latSum := res.Latency.Mean * (res.Ops - res.Errors)
+				if latSum <= 0 {
+					t.Fatalf("degenerate latency sum %d", latSum)
+				}
+				diff := phaseSum - latSum
+				if diff < 0 {
+					diff = -diff
+				}
+				frac := float64(diff) / float64(latSum)
+				if frac <= 0.05 {
+					return
+				}
+				fracs = append(fracs, frac)
+			}
+			t.Errorf("exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
+				fracs[0]*100, fracs[1]*100, fracs[2]*100)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			t.Fatalf("expected a clean commuting run, got %d errors", res.Errors)
-		}
-		if res.Phases["epoch-wait"].Count == 0 {
-			t.Fatal("epoch cell recorded no epoch-wait phases")
-		}
-		var phaseSum int64
-		for _, name := range []string{"admit", "epoch-wait", "schedule-wait", "execute", "commit-barrier", "publish", "retry-backoff"} {
-			phaseSum += res.Phases[name].TotalNS
-		}
-		latSum := res.Latency.Mean * (res.Ops - res.Errors)
-		if latSum <= 0 {
-			t.Fatalf("degenerate latency sum %d", latSum)
-		}
-		diff := phaseSum - latSum
-		if diff < 0 {
-			diff = -diff
-		}
-		frac := float64(diff) / float64(latSum)
-		if frac <= 0.05 {
-			return
-		}
-		fracs = append(fracs, frac)
 	}
-	t.Errorf("epoch-mode exclusive phase sums never reconciled with the latency sum within 5%%: off by %.1f%%, %.1f%%, %.1f%% across three runs",
-		fracs[0]*100, fracs[1]*100, fracs[2]*100)
 }
 
 // TestDebugServerEndToEnd opens a DB with the live introspection server
